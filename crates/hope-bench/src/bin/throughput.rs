@@ -15,6 +15,15 @@
 //!   the wait-free claim is that the *virtual* cost is zero, and the
 //!   wall numbers price the implementation itself.
 //!
+//! A second table sweeps the stream length from 1k to 16k messages by
+//! doubling and fits the growth exponent of the deterministic
+//! `history_records_visited` work counter (interval-history records the
+//! HOPE library examined) and of wall time. The counter must grow
+//! linearly — a per-receive scan of the history made this workload
+//! quadratic until the history was indexed (DESIGN.md S7) — so under
+//! `HOPE_BENCH_CHECK=1` its exponent is gated at 1.2; the wall exponent
+//! is printed, never gated.
+//!
 //! With `HOPE_TRACE=1` the workload runs a second time with the causal
 //! tracer enabled and the bin checks the tracing overhead budget: the
 //! deterministic outcome (virtual clock, message counts, tag bytes) must
@@ -38,6 +47,10 @@ use hope_types::{AidId, ProcessId, VirtualDuration};
 const MESSAGES: u64 = 2_000;
 const DEPTH: u32 = 32;
 const SEED: u64 = 7;
+/// Stream lengths of the growth sweep (the headline run is one of them).
+const SWEEP: [u64; 5] = [1_000, 2_000, 4_000, 8_000, 16_000];
+/// Ceiling on the fitted growth exponent of `history_records_visited`.
+const WORK_EXPONENT_CEILING: f64 = 1.2;
 
 fn encode_aids(aids: &[AidId]) -> Bytes {
     let mut out = Vec::with_capacity(aids.len() * 8);
@@ -68,9 +81,10 @@ struct Outcome {
     trace_events: usize,
 }
 
-/// One full producer/consumer run; `trace_capacity` enables the causal
-/// tracer for the overhead comparison.
-fn run_workload(trace_capacity: Option<usize>) -> Outcome {
+/// One full producer/consumer run of `messages` stream messages;
+/// `trace_capacity` enables the causal tracer for the overhead
+/// comparison.
+fn run_workload(messages: u64, trace_capacity: Option<usize>) -> Outcome {
     let guess_lat: Samples = Arc::new(Mutex::new(Vec::new()));
     let affirm_lat: Samples = Arc::new(Mutex::new(Vec::new()));
 
@@ -86,7 +100,7 @@ fn run_workload(trace_capacity: Option<usize>) -> Outcome {
     let affirm_samples = Arc::clone(&affirm_lat);
     let consumer = env.spawn_user("consumer", move |ctx| {
         let aids = decode_aids(&ctx.receive(Some(1)).data);
-        for _ in 0..MESSAGES {
+        for _ in 0..messages {
             let _ = ctx.receive(Some(0));
         }
         // Let the producer finish its sends before resolution starts.
@@ -105,9 +119,9 @@ fn run_workload(trace_capacity: Option<usize>) -> Outcome {
     env.spawn_user("producer", move |ctx| {
         let aids: Vec<AidId> = (0..DEPTH).map(|_| ctx.aid_init()).collect();
         ctx.send(consumer, 1, encode_aids(&aids));
-        let stride = (MESSAGES / u64::from(DEPTH)).max(1);
+        let stride = (messages / u64::from(DEPTH)).max(1);
         let mut next_guess = 0usize;
-        for i in 0..MESSAGES {
+        for i in 0..messages {
             if i % stride == 0 && next_guess < aids.len() {
                 let aid = aids[next_guess];
                 next_guess += 1;
@@ -151,7 +165,7 @@ fn run_workload(trace_capacity: Option<usize>) -> Outcome {
 /// untraced run's deterministic outcome exactly, and its wall-clock cost
 /// is reported (and gated under `HOPE_BENCH_CHECK=1`).
 fn check_tracing_overhead(plain: &Outcome) {
-    let traced = run_workload(Some(1 << 16));
+    let traced = run_workload(MESSAGES, Some(1 << 16));
     assert!(
         traced.trace_events > 0,
         "the traced run must actually collect events"
@@ -186,8 +200,56 @@ fn check_tracing_overhead(plain: &Outcome) {
     }
 }
 
+/// Runs the stream-length sweep, prints it, and returns its JSON rows
+/// with the fitted exponents of the work counter and of wall time, plus
+/// the headline (`MESSAGES`) run.
+fn sweep() -> (Vec<Value>, f64, f64, Outcome) {
+    println!("stream-length sweep (depth {DEPTH}):");
+    println!(
+        "  {:>8} {:>16} {:>12} {:>10}",
+        "messages", "records_visited", "max_live", "wall_s"
+    );
+    let mut rows = Vec::new();
+    let (mut work, mut wall) = (Vec::new(), Vec::new());
+    let mut headline = None;
+    for messages in SWEEP {
+        let outcome = run_workload(messages, None);
+        let visited = outcome.report.hope.history_records_visited;
+        let max_live = outcome.report.hope.max_live_intervals;
+        println!(
+            "  {messages:>8} {visited:>16} {max_live:>12} {:>10.3}",
+            outcome.wall_secs
+        );
+        work.push((messages as f64, visited as f64));
+        wall.push((messages as f64, outcome.wall_secs));
+        rows.push(baseline::obj(&[
+            ("messages", messages.to_string()),
+            ("history_records_visited", visited.to_string()),
+            ("max_live_intervals", max_live.to_string()),
+            ("wall_s", format!("{:.3}", outcome.wall_secs)),
+        ]));
+        if messages == MESSAGES {
+            headline = Some(outcome);
+        }
+    }
+    let (work_exp, wall_exp) = (baseline::fit_exponent(&work), baseline::fit_exponent(&wall));
+    println!(
+        "fitted growth exponent: history_records_visited {work_exp:.3} \
+         (ceiling {WORK_EXPONENT_CEILING}), wall {wall_exp:.3} (not gated)"
+    );
+    if std::env::var("HOPE_BENCH_CHECK").as_deref() == Ok("1") {
+        assert!(
+            work_exp <= WORK_EXPONENT_CEILING,
+            "interval-history work has gone super-linear: fitted exponent \
+             {work_exp:.3} > {WORK_EXPONENT_CEILING} across stream lengths {SWEEP:?}"
+        );
+    }
+    let headline = headline.expect("the sweep includes the headline length");
+    (rows, work_exp, wall_exp, headline)
+}
+
 fn main() {
-    let outcome = run_workload(None);
+    let (sweep_rows, work_exp, wall_exp, outcome) = sweep();
     let report = &outcome.report;
     let wall_secs = outcome.wall_secs;
 
@@ -246,6 +308,14 @@ fn main() {
             Value::String(link.tags_delta.to_string()),
         ),
         (
+            "history_records_visited".into(),
+            Value::String(report.hope.history_records_visited.to_string()),
+        ),
+        (
+            "max_live_intervals".into(),
+            Value::String(report.hope.max_live_intervals.to_string()),
+        ),
+        (
             "virtual_micros_total".into(),
             Value::String((report.run.now.as_nanos() / 1_000).to_string()),
         ),
@@ -286,6 +356,19 @@ fn main() {
             "affirm_p99_wall_ns".into(),
             Value::String(baseline::percentile(&aw, 99.0).to_string()),
         ),
+        (
+            "sweep_work_exponent".into(),
+            Value::String(format!("{work_exp:.3}")),
+        ),
+        (
+            "sweep_work_exponent_ceiling".into(),
+            Value::String(format!("{WORK_EXPONENT_CEILING}")),
+        ),
+        (
+            "sweep_wall_exponent".into(),
+            Value::String(format!("{wall_exp:.3}")),
+        ),
+        ("sweep".into(), Value::Array(sweep_rows)),
     ]);
     baseline::finish(
         "BENCH_throughput.json",
@@ -295,6 +378,7 @@ fn main() {
             "total_hope_messages",
             "tag_bytes_wire",
             "guess_p99_virtual_ns",
+            "history_records_visited",
         ],
         2.0,
     );

@@ -184,11 +184,7 @@ pub fn ring_initial(n: usize) -> ProtoState {
         let mut history = History::new(user_pid(i));
         let id = history.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(i)]);
         assert_eq!(id, iid(i));
-        history
-            .get_mut(id)
-            .expect("just opened")
-            .iha
-            .insert(aid((i + 1) % n));
+        history.record_affirm(aid((i + 1) % n));
         users.push(UserSlot {
             history,
             pending_rollback: None,

@@ -393,15 +393,8 @@ impl<'a> ProcessCtx<'a> {
             // Bounded speculation depth: a deny storm must not build an
             // arbitrarily deep rollback cascade, so wait for the
             // unaffirmed chain to drain below the cap first.
-            let below_cap = move |state: &LibState| {
-                state
-                    .history
-                    .intervals()
-                    .iter()
-                    .filter(|r| !r.definite)
-                    .count()
-                    < max_depth as usize
-            };
+            let below_cap =
+                move |state: &LibState| state.history.speculative().len() < max_depth as usize;
             if !below_cap(&self.lib.lock()) {
                 self.trace(TraceEventKind::SpecWait {
                     aid,
@@ -480,14 +473,14 @@ impl<'a> ProcessCtx<'a> {
         self.metrics.affirms.fetch_add(1, Ordering::Relaxed);
         let (iid, ido) = {
             let mut lib = self.lib.lock();
-            let cur = lib.history.current_mut();
-            let mut ido = cur.ido.clone();
+            let cur = lib.history.current();
+            let (iid, mut ido) = (cur.id, cur.ido.clone());
             ido.remove(&aid);
             if !ido.is_empty() {
                 // Speculative affirm: remember it for finalize.
-                cur.iha.insert(aid);
+                lib.history.record_affirm(aid);
             }
-            (cur.id, ido)
+            (iid, ido)
         };
         self.log.record(Op::Affirm { aid });
         self.sys.send(
@@ -523,12 +516,12 @@ impl<'a> ProcessCtx<'a> {
         let (iid, send_now) = {
             let mut lib = self.lib.lock();
             let deny_policy = lib.config().deny_policy;
-            let cur = lib.history.current_mut();
-            let send_now = deny_policy == DenyPolicy::Immediate || cur.definite;
+            let cur = lib.history.current();
+            let (iid, send_now) = (cur.id, deny_policy == DenyPolicy::Immediate || cur.definite);
             if !send_now {
-                cur.ihd.insert(aid);
+                lib.history.record_deny(aid);
             }
-            (cur.id, send_now)
+            (iid, send_now)
         };
         self.log.record(Op::Deny { aid });
         if send_now {
@@ -563,14 +556,13 @@ impl<'a> ProcessCtx<'a> {
         self.metrics.free_ofs.fetch_add(1, Ordering::Relaxed);
         let (iid, dependent, affirm_ido) = {
             let mut lib = self.lib.lock();
-            let cur = lib.history.current_mut();
-            let dependent = cur.ido.contains(&aid);
-            let mut ido = cur.ido.clone();
+            let cur = lib.history.current();
+            let (iid, dependent, mut ido) = (cur.id, cur.ido.contains(&aid), cur.ido.clone());
             ido.remove(&aid);
             if !dependent && !ido.is_empty() {
-                cur.iha.insert(aid);
+                lib.history.record_affirm(aid);
             }
-            (cur.id, dependent, ido)
+            (iid, dependent, ido)
         };
         self.log.record(Op::FreeOf {
             aid,

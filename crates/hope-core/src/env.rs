@@ -184,13 +184,7 @@ fn perform_rollback(
             log.rewind();
             return true;
         };
-        let target = state
-            .history
-            .intervals()
-            .iter()
-            .find(|r| r.id.index() >= pending.floor && !r.definite)
-            .map(|r| r.id);
-        let Some(target) = target else {
+        let Some(target) = state.history.rollback_target(pending.floor) else {
             log.rewind();
             return true;
         };

@@ -112,7 +112,7 @@ impl LibState {
         LibState {
             pid: placeholder,
             bound: false,
-            history: History::new(placeholder),
+            history: History::with_counters(placeholder, Arc::clone(&metrics.history)),
             pending_rollback: None,
             spec: SpecController::new(config.spec_policy),
             known_denied: IdoSet::new(),
@@ -147,9 +147,7 @@ impl LibState {
     /// floor a post-crash recovery must reach.
     pub fn definite_floor_op(&self) -> Option<usize> {
         self.history
-            .intervals()
-            .iter()
-            .find(|rec| !rec.definite)
+            .first_speculative()
             .map(|rec| match rec.origin {
                 crate::interval::IntervalOrigin::ExplicitGuess { op } => op,
                 crate::interval::IntervalOrigin::ImplicitReceive { op } => op,
@@ -161,7 +159,7 @@ impl LibState {
     pub fn bind(&mut self, pid: ProcessId) {
         if !self.bound {
             self.pid = pid;
-            self.history = History::new(pid);
+            self.history = History::with_counters(pid, Arc::clone(&self.metrics.history));
             self.bound = true;
         }
     }
@@ -327,53 +325,24 @@ impl LibState {
         api: &mut dyn ControlApi,
     ) {
         let cycle_detection = self.config.cycle_detection;
-        let Some(target) = self.history.position_of(iid) else {
-            return; // stale
+        let Some(outcome) = self
+            .history
+            .replace(iid, sender, &replacement, cycle_detection)
+        else {
+            return; // stale, or already definite
         };
-        if self.history.intervals()[target].definite {
-            return;
+        for (registrant, y) in outcome.registrations {
+            // First acquisition across the whole history suffix: this
+            // interval becomes Y's registrant.
+            api.send(
+                y.process(),
+                Payload::Hope(HopeMessage::Guess { iid: registrant }),
+            );
         }
-        let mut cycles_broken = 0u64;
-        for pos in target..self.history.intervals().len() {
-            {
-                let rec = &self.history.intervals()[pos];
-                // The registrant applies the substitution unconditionally;
-                // later intervals only when they inherited the sender.
-                if rec.definite || (pos > target && !rec.ido.contains(&sender)) {
-                    continue;
-                }
-            }
-            let pos_iid = self.history.intervals()[pos].id;
-            for &y in replacement.iter() {
-                let rec = &self.history.intervals()[pos];
-                if cycle_detection && rec.udo.contains(&y) {
-                    // The interval already escaped Y once: this replacement
-                    // closes a dependency cycle. Discard it (Figure 15).
-                    cycles_broken += 1;
-                    continue;
-                }
-                if rec.ido.contains(&y) {
-                    continue;
-                }
-                let registered = self.history.held_before(pos, &y);
-                self.history.intervals_mut()[pos].ido.insert(y);
-                if !registered {
-                    // First acquisition across the whole history suffix:
-                    // this interval becomes Y's registrant.
-                    api.send(
-                        y.process(),
-                        Payload::Hope(HopeMessage::Guess { iid: pos_iid }),
-                    );
-                }
-            }
-            let rec = &mut self.history.intervals_mut()[pos];
-            rec.ido.remove(&sender);
-            rec.udo.insert(sender);
-        }
-        if cycles_broken > 0 {
+        if outcome.cycles_broken > 0 {
             self.metrics
                 .cycles_broken
-                .fetch_add(cycles_broken, Ordering::Relaxed);
+                .fetch_add(outcome.cycles_broken, Ordering::Relaxed);
         }
         self.finalize_ready(api);
         // A speculation-control waiter may be waiting for its assumption
@@ -394,12 +363,7 @@ impl LibState {
     /// as crash recovery — finalize is the commit point, §5). Returns true
     /// if there was anything speculative to recover.
     pub fn begin_crash_recovery(&mut self, api: &mut dyn ControlApi) -> bool {
-        let floor = self
-            .history
-            .intervals()
-            .iter()
-            .find(|rec| !rec.definite)
-            .map(|rec| rec.id.index());
+        let floor = self.history.first_speculative().map(|rec| rec.id.index());
         let Some(floor) = floor else {
             return false; // fully definite: the checkpoint is current
         };
@@ -815,11 +779,8 @@ mod tests {
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
-        {
-            let rec = lib.history.get_mut(iid).unwrap();
-            rec.iha.insert(aid(5));
-            rec.ihd.insert(aid(6));
-        }
+        lib.history.record_affirm(aid(5));
+        lib.history.record_deny(aid(6));
         let mut api = FakeApi::default();
         lib.handle_control(
             aid(1).process(),

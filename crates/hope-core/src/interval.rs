@@ -25,7 +25,10 @@
 //! [`DenyPolicy`]: crate::config::DenyPolicy
 //! [`IdSet`]: hope_types::IdSet
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use hope_types::{AidId, IdoSet, IntervalId, ProcessId};
 
@@ -115,22 +118,72 @@ impl IntervalRecord {
     }
 }
 
+/// Work counters a [`History`] reports into, shared by every history of
+/// one environment through [`HopeMetrics::history`](crate::HopeMetrics).
+#[derive(Debug, Default)]
+pub struct HistoryCounters {
+    /// Interval records (or index entries standing for one) examined by
+    /// history lookups and walks: a deterministic measure of the CPU work
+    /// dependency tracking costs, gated for linear growth by E-perf.
+    pub records_visited: AtomicU64,
+    /// High-water mark of speculative (non-definite) intervals any one
+    /// history held at once.
+    pub max_live_intervals: AtomicU64,
+}
+
+/// What [`History::replace`] did, for the caller to act on.
+#[derive(Debug, Default)]
+pub(crate) struct ReplaceOutcome {
+    /// `Guess` registrations owed, in application order: each names the
+    /// interval that became the registrant of a newly acquired AID.
+    pub registrations: Vec<(IntervalId, AidId)>,
+    /// Replacement members discarded because they would close a
+    /// dependency cycle (Algorithm 2's `UDO` check).
+    pub cycles_broken: u64,
+}
+
 /// The execution history of one user process: an ordered list of intervals,
 /// of which a (possibly empty) suffix is speculative.
+///
+/// The history maintains its own index so that no lookup walks it
+/// (DESIGN.md S7):
+///
+/// * **definite-prefix cursor** — finalize goes oldest-first and rollback
+///   truncates a suffix, so `intervals[..definite]` are definite and every
+///   later interval is speculative;
+/// * **registrant map** — for every AID a speculative interval holds, the
+///   position of the earliest such interval (its single registrant);
+/// * **id → position** — interval indices are monotone and never reused,
+///   so a binary search on them finds any live interval.
+///
+/// Every mutation of an interval's dependency sets goes through a
+/// `History` method, which keeps the index exact.
 #[derive(Debug, Clone)]
 pub struct History {
     process: ProcessId,
     intervals: Vec<IntervalRecord>,
     next_index: u32,
+    definite: usize,
+    registrant: HashMap<AidId, usize>,
+    counters: Arc<HistoryCounters>,
 }
 
 impl History {
-    /// A fresh history containing only the definite root interval.
+    /// A fresh history containing only the definite root interval, with
+    /// counters of its own.
     pub fn new(process: ProcessId) -> Self {
+        History::with_counters(process, Arc::default())
+    }
+
+    /// A fresh history reporting its work into `counters`.
+    pub fn with_counters(process: ProcessId, counters: Arc<HistoryCounters>) -> Self {
         History {
             process,
             intervals: vec![IntervalRecord::root(process)],
             next_index: 1,
+            definite: 1,
+            registrant: HashMap::new(),
+            counters,
         }
     }
 
@@ -139,31 +192,58 @@ impl History {
         self.process
     }
 
+    /// The work counters this history reports into.
+    pub fn counters(&self) -> &HistoryCounters {
+        &self.counters
+    }
+
+    fn visit(&self, records: u64) {
+        self.counters
+            .records_visited
+            .fetch_add(records, Ordering::Relaxed);
+    }
+
     /// All live intervals, oldest first.
     pub fn intervals(&self) -> &[IntervalRecord] {
         &self.intervals
     }
 
-    /// Mutable access to the live intervals (protocol handlers apply a
-    /// `Replace` to the target *and* every later interval holding the
-    /// replaced AID).
-    pub(crate) fn intervals_mut(&mut self) -> &mut [IntervalRecord] {
-        &mut self.intervals
+    /// The speculative (non-definite) intervals, oldest first: the suffix
+    /// after the definite prefix.
+    pub fn speculative(&self) -> &[IntervalRecord] {
+        &self.intervals[self.definite..]
     }
 
     /// Position of a live interval in the history, oldest first.
     pub(crate) fn position_of(&self, id: IntervalId) -> Option<usize> {
-        self.intervals.iter().position(|r| r.id == id)
+        if id.process() != self.process {
+            return None;
+        }
+        self.search(0, id.index()).ok()
+    }
+
+    /// Binary search for interval index `index` among the positions from
+    /// `from` on (indices increase along the history): `Ok` with its
+    /// position, or `Err` with the position of the first larger index.
+    fn search(&self, from: usize, index: u32) -> Result<usize, usize> {
+        let mut probes = 0;
+        let found = self.intervals[from..].binary_search_by(|r| {
+            probes += 1;
+            r.id.index().cmp(&index)
+        });
+        self.visit(probes);
+        found.map(|p| from + p).map_err(|p| from + p)
     }
 
     /// True when a live interval strictly older than position `pos` holds
     /// `y` in its IDO — i.e. this process is already registered with `y`
     /// at a rollback floor at or below `pos`, so acquiring `y` at `pos`
-    /// needs no new `Guess` (delta registration, DESIGN.md S7).
+    /// needs no new `Guess` (delta registration, DESIGN.md S7). One
+    /// registrant-map lookup: definite intervals hold nothing, and the
+    /// registrant is the oldest speculative holder.
     pub(crate) fn held_before(&self, pos: usize, y: &AidId) -> bool {
-        self.intervals[..pos]
-            .iter()
-            .any(|r| !r.definite && r.ido.contains(y))
+        self.visit(1);
+        self.registrant.get(y).is_some_and(|&r| r < pos)
     }
 
     /// The youngest (current) interval.
@@ -171,24 +251,20 @@ impl History {
         self.intervals.last().expect("history never empty")
     }
 
-    /// Mutable access to the youngest interval.
-    pub fn current_mut(&mut self) -> &mut IntervalRecord {
-        self.intervals.last_mut().expect("history never empty")
-    }
-
     /// Looks up a live interval by id.
     pub fn get(&self, id: IntervalId) -> Option<&IntervalRecord> {
-        self.intervals.iter().find(|r| r.id == id)
+        self.position_of(id).map(|pos| &self.intervals[pos])
     }
 
-    /// Mutable lookup by id.
-    pub fn get_mut(&mut self, id: IntervalId) -> Option<&mut IntervalRecord> {
-        self.intervals.iter_mut().find(|r| r.id == id)
+    /// The oldest speculative interval, if any: the first interval past
+    /// the definite prefix.
+    pub fn first_speculative(&self) -> Option<&IntervalRecord> {
+        self.intervals.get(self.definite)
     }
 
     /// True if every live interval is definite.
     pub fn fully_definite(&self) -> bool {
-        self.intervals.iter().all(|r| r.definite)
+        self.definite == self.intervals.len()
     }
 
     /// The cumulative dependency set of the process right now (the tag to
@@ -199,7 +275,8 @@ impl History {
 
     /// Opens a new interval that inherits the current cumulative `IDO`
     /// plus `extra` assumptions. Returns its id; the caller is responsible
-    /// for sending `Guess` registrations for every member of the new IDO.
+    /// for sending `Guess` registrations for the members no older live
+    /// interval holds (see [`held_before`](History::held_before)).
     pub fn open_interval(
         &mut self,
         origin: IntervalOrigin,
@@ -207,7 +284,13 @@ impl History {
     ) -> IntervalId {
         let id = IntervalId::new(self.process, self.next_index);
         self.next_index += 1;
+        let pos = self.intervals.len();
         let trigger: IdoSet = extra.into_iter().collect();
+        // Inherited members already have an older registrant; only the
+        // trigger can name an AID no speculative interval holds yet.
+        for &y in trigger.iter() {
+            self.registrant.entry(y).or_insert(pos);
+        }
         // O(1): large cumulative sets are Arc-shared until a mutation, and
         // an extend that adds nothing keeps the sharing.
         let mut ido = self.current().ido.clone();
@@ -222,7 +305,88 @@ impl History {
             ihd: IdoSet::new(),
             definite: false,
         });
+        self.counters
+            .max_live_intervals
+            .fetch_max(self.speculative().len() as u64, Ordering::Relaxed);
         id
+    }
+
+    /// Records a speculative affirm of `aid` in the current interval's
+    /// `IHA`, to be sent unconditionally when the interval finalizes.
+    pub fn record_affirm(&mut self, aid: AidId) {
+        self.current_record().iha.insert(aid);
+    }
+
+    /// Buffers a deny of `aid` in the current interval's `IHD` until the
+    /// interval finalizes.
+    pub fn record_deny(&mut self, aid: AidId) {
+        self.current_record().ihd.insert(aid);
+    }
+
+    fn current_record(&mut self) -> &mut IntervalRecord {
+        self.intervals.last_mut().expect("history never empty")
+    }
+
+    /// The interval a rollback with floor `floor` truncates from: the
+    /// oldest speculative interval whose index is at least `floor`.
+    pub(crate) fn rollback_target(&self, floor: u32) -> Option<IntervalId> {
+        let (Ok(pos) | Err(pos)) = self.search(self.definite, floor);
+        self.intervals.get(pos).map(|r| r.id)
+    }
+
+    /// Applies an AID's `Replace` (Figure 15; Figure 10 without
+    /// `cycle_detection`): the `replacement` set substitutes `sender` in
+    /// interval `iid` and in every later live interval holding `sender`
+    /// (delta registration, DESIGN.md S7). Returns `None` when `iid` is
+    /// stale or definite.
+    pub(crate) fn replace(
+        &mut self,
+        iid: IntervalId,
+        sender: AidId,
+        replacement: &IdoSet,
+        cycle_detection: bool,
+    ) -> Option<ReplaceOutcome> {
+        let target = self.position_of(iid)?;
+        if target < self.definite {
+            return None;
+        }
+        let mut out = ReplaceOutcome::default();
+        let end = self.intervals.len();
+        for pos in target..end {
+            let rec = &mut self.intervals[pos];
+            // The registrant applies the substitution unconditionally;
+            // later intervals only when they inherited the sender.
+            if pos > target && !rec.ido.contains(&sender) {
+                continue;
+            }
+            for &y in replacement.iter() {
+                if cycle_detection && rec.udo.contains(&y) {
+                    // The interval already escaped Y once: this replacement
+                    // closes a dependency cycle. Discard it (Figure 15).
+                    out.cycles_broken += 1;
+                    continue;
+                }
+                if !rec.ido.insert(y) {
+                    continue;
+                }
+                let registrant = self.registrant.entry(y).or_insert(pos);
+                if *registrant >= pos {
+                    // No older interval holds Y: this one becomes its
+                    // registrant and owes the AID a `Guess`.
+                    *registrant = pos;
+                    out.registrations.push((rec.id, y));
+                }
+            }
+            rec.ido.remove(&sender);
+            rec.udo.insert(sender);
+        }
+        self.visit((end - target) as u64);
+        // No holder of the sender remains at or after the target; it stays
+        // registered only through an older holder.
+        if self.registrant.get(&sender).is_some_and(|&r| r >= target) {
+            self.registrant.remove(&sender);
+        }
+        Some(out)
     }
 
     /// Discards interval `id` and every later interval, returning the
@@ -237,14 +401,12 @@ impl History {
     /// Interval indices are *not* reused afterwards, so protocol messages
     /// addressed to discarded intervals are recognizably stale.
     pub fn truncate_from(&mut self, id: IntervalId) -> Result<Vec<IntervalRecord>, TruncateError> {
-        let pos = self
-            .intervals
-            .iter()
-            .position(|r| r.id == id)
-            .ok_or(TruncateError::UnknownInterval)?;
+        let pos = self.position_of(id).ok_or(TruncateError::UnknownInterval)?;
         if pos == 0 {
             return Err(TruncateError::RootInterval);
         }
+        self.definite = self.definite.min(pos);
+        self.registrant.retain(|_, r| *r < pos);
         Ok(self.intervals.split_off(pos))
     }
 
@@ -252,28 +414,27 @@ impl History {
     /// finalizes when its `IDO` is empty, its predecessor is definite, and
     /// no pending rollback dooms it. Returns the finalized records' ids
     /// along with their drained `IHA`/`IHD` sets (for the finalize
-    /// messages of Figure 11).
+    /// messages of Figure 11). Starts at the definite-prefix cursor.
     pub fn finalize_ready(
         &mut self,
         rollback_floor: Option<u32>,
     ) -> Vec<(IntervalId, IdoSet, IdoSet)> {
         let mut out = Vec::new();
-        let mut prev_definite = true;
-        for rec in &mut self.intervals {
-            if rec.definite {
-                prev_definite = true;
-                continue;
-            }
+        let mut visited = 0;
+        while let Some(rec) = self.intervals.get_mut(self.definite) {
+            visited += 1;
             let doomed = rollback_floor.is_some_and(|f| rec.id.index() >= f);
-            if !prev_definite || doomed || !rec.ido.is_empty() {
+            if doomed || !rec.ido.is_empty() {
                 break;
             }
+            // An empty IDO holds nothing, so no registrant entry names it.
             rec.definite = true;
             let iha = std::mem::take(&mut rec.iha);
             let ihd = std::mem::take(&mut rec.ihd);
             out.push((rec.id, iha, ihd));
-            prev_definite = true;
+            self.definite += 1;
         }
+        self.visit(visited);
         out
     }
 }
@@ -281,6 +442,7 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pid(n: u64) -> ProcessId {
         ProcessId::from_raw(n)
@@ -363,8 +525,9 @@ mod tests {
         assert!(!h.held_before(1, &aid(2)), "aid(2) only appears later");
         assert!(!h.held_before(0, &aid(1)), "nothing precedes the root");
         // A definite interval's registration is spent: it no longer counts.
-        h.get_mut(a).unwrap().ido.clear();
-        h.get_mut(a).unwrap().definite = true;
+        h.replace(a, aid(1), &IdoSet::new(), true).unwrap();
+        assert_eq!(h.finalize_ready(None).len(), 1);
+        assert!(h.get(a).unwrap().definite);
         assert!(!h.held_before(2, &aid(1)));
     }
 
@@ -374,10 +537,12 @@ mod tests {
         let a = h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
         let b = h.open_interval(IntervalOrigin::ExplicitGuess { op: 1 }, [aid(2)]);
         // Empty b's IDO but not a's: nothing may finalize (predecessor rule).
-        h.get_mut(b).unwrap().ido.clear();
+        h.replace(b, aid(1), &IdoSet::new(), true).unwrap();
+        h.replace(b, aid(2), &IdoSet::new(), true).unwrap();
+        assert!(h.get(b).unwrap().ido.is_empty());
         assert!(h.finalize_ready(None).is_empty());
         // Now empty a's too: both finalize, oldest first.
-        h.get_mut(a).unwrap().ido.clear();
+        h.replace(a, aid(1), &IdoSet::new(), true).unwrap();
         let done = h.finalize_ready(None);
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].0, a);
@@ -389,7 +554,7 @@ mod tests {
     fn finalize_respects_rollback_floor() {
         let mut h = History::new(pid(1));
         let a = h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
-        h.get_mut(a).unwrap().ido.clear();
+        h.replace(a, aid(1), &IdoSet::new(), true).unwrap();
         // A pending rollback at or below a's index dooms it.
         assert!(h.finalize_ready(Some(a.index())).is_empty());
         assert_eq!(h.finalize_ready(None).len(), 1);
@@ -399,18 +564,255 @@ mod tests {
     fn finalize_drains_iha_ihd() {
         let mut h = History::new(pid(1));
         let a = h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
-        {
-            let rec = h.get_mut(a).unwrap();
-            rec.ido.clear();
-            rec.iha.insert(aid(5));
-            rec.ihd.insert(aid(6));
-        }
+        h.record_affirm(aid(5));
+        h.record_deny(aid(6));
+        h.replace(a, aid(1), &IdoSet::new(), true).unwrap();
         let done = h.finalize_ready(None);
         assert_eq!(done.len(), 1);
         let (_, iha, ihd) = &done[0];
         assert!(iha.contains(&aid(5)));
         assert!(ihd.contains(&aid(6)));
         assert!(h.get(a).unwrap().iha.is_empty(), "sets drained");
+    }
+
+    #[test]
+    fn lookups_under_deep_speculation_visit_constant_records() {
+        const LATER: usize = 4096;
+        let mut h = History::new(pid(1));
+        let oldest = h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(0)]);
+        let second = h.open_interval(IntervalOrigin::ExplicitGuess { op: 1 }, [aid(1)]);
+        for op in 2..LATER {
+            h.open_interval(IntervalOrigin::ImplicitReceive { op }, [aid(op as u64)]);
+        }
+        // Release aid(0) everywhere but the oldest interval: it is then
+        // held only at the bottom of 4k later speculative intervals, the
+        // worst case of a newest-first scan.
+        h.replace(second, aid(0), &IdoSet::new(), true).unwrap();
+        assert!(h.intervals()[2..].iter().all(|r| !r.ido.contains(&aid(0))));
+        let top = h.intervals().len();
+        let visited = || h.counters().records_visited.load(Ordering::Relaxed);
+        for y in [aid(0), aid(1), aid(LATER as u64 + 7)] {
+            let before = visited();
+            let naive = h.intervals()[..top]
+                .iter()
+                .any(|r| !r.definite && r.ido.contains(&y));
+            assert_eq!(h.held_before(top, &y), naive);
+            assert_eq!(visited() - before, 1, "one registrant-map lookup");
+        }
+        let before = visited();
+        assert_eq!(h.get(oldest).map(|r| r.id), Some(oldest));
+        let probes = visited() - before;
+        assert!(probes <= 14, "binary search, not a scan: {probes} probes");
+        assert_eq!(
+            h.counters().max_live_intervals.load(Ordering::Relaxed),
+            LATER as u64
+        );
+    }
+
+    /// The unindexed history the index must agree with: a plain record
+    /// list driven by the linear scans the index replaces.
+    struct NaiveHistory {
+        intervals: Vec<IntervalRecord>,
+        next_index: u32,
+    }
+
+    impl NaiveHistory {
+        fn new(process: ProcessId) -> Self {
+            NaiveHistory {
+                intervals: vec![IntervalRecord::root(process)],
+                next_index: 1,
+            }
+        }
+
+        fn held_before(&self, pos: usize, y: &AidId) -> bool {
+            self.intervals[..pos]
+                .iter()
+                .any(|r| !r.definite && r.ido.contains(y))
+        }
+
+        fn position_of(&self, id: IntervalId) -> Option<usize> {
+            self.intervals.iter().position(|r| r.id == id)
+        }
+
+        fn open(&mut self, process: ProcessId, trigger: &[AidId]) {
+            let trigger: IdoSet = trigger.iter().copied().collect();
+            let mut ido = self.intervals.last().unwrap().ido.clone();
+            ido.extend(trigger.iter().copied());
+            self.intervals.push(IntervalRecord {
+                id: IntervalId::new(process, self.next_index),
+                origin: IntervalOrigin::ExplicitGuess { op: 0 },
+                trigger,
+                ido,
+                udo: IdoSet::new(),
+                iha: IdoSet::new(),
+                ihd: IdoSet::new(),
+                definite: false,
+            });
+            self.next_index += 1;
+        }
+
+        fn replace(
+            &mut self,
+            iid: IntervalId,
+            sender: AidId,
+            replacement: &IdoSet,
+            cycle_detection: bool,
+        ) -> Option<(Vec<(IntervalId, AidId)>, u64)> {
+            let target = self.position_of(iid)?;
+            if self.intervals[target].definite {
+                return None;
+            }
+            let (mut registrations, mut cycles) = (Vec::new(), 0);
+            for pos in target..self.intervals.len() {
+                let rec = &self.intervals[pos];
+                if rec.definite || (pos > target && !rec.ido.contains(&sender)) {
+                    continue;
+                }
+                for &y in replacement.iter() {
+                    let rec = &self.intervals[pos];
+                    if cycle_detection && rec.udo.contains(&y) {
+                        cycles += 1;
+                        continue;
+                    }
+                    if rec.ido.contains(&y) {
+                        continue;
+                    }
+                    if !self.held_before(pos, &y) {
+                        registrations.push((rec.id, y));
+                    }
+                    self.intervals[pos].ido.insert(y);
+                }
+                let rec = &mut self.intervals[pos];
+                rec.ido.remove(&sender);
+                rec.udo.insert(sender);
+            }
+            Some((registrations, cycles))
+        }
+
+        fn truncate(&mut self, id: IntervalId) -> Result<usize, TruncateError> {
+            let pos = self.position_of(id).ok_or(TruncateError::UnknownInterval)?;
+            if pos == 0 {
+                return Err(TruncateError::RootInterval);
+            }
+            Ok(self.intervals.split_off(pos).len())
+        }
+
+        fn finalize(&mut self, floor: Option<u32>) -> Vec<IntervalId> {
+            let mut out = Vec::new();
+            let mut prev_definite = true;
+            for rec in &mut self.intervals {
+                if rec.definite {
+                    prev_definite = true;
+                    continue;
+                }
+                let doomed = floor.is_some_and(|f| rec.id.index() >= f);
+                if !prev_definite || doomed || !rec.ido.is_empty() {
+                    break;
+                }
+                rec.definite = true;
+                out.push(rec.id);
+            }
+            out
+        }
+    }
+
+    /// Every indexed lookup agrees with the naive scan over the same
+    /// records, for every position, AID and interval index in range.
+    fn assert_index_matches(h: &History, naive: &NaiveHistory, universe: u64) {
+        assert_eq!(h.intervals(), naive.intervals.as_slice());
+        for pos in 0..=h.intervals().len() {
+            for y in (0..universe).map(aid) {
+                assert_eq!(
+                    h.held_before(pos, &y),
+                    naive.held_before(pos, &y),
+                    "held_before({pos}, {y:?})"
+                );
+            }
+        }
+        for index in 0..=naive.next_index {
+            for owner in [pid(1), pid(2)] {
+                let id = IntervalId::new(owner, index);
+                assert_eq!(h.position_of(id), naive.position_of(id), "{id}");
+                assert_eq!(
+                    h.get(id),
+                    naive.position_of(id).map(|p| &naive.intervals[p])
+                );
+            }
+        }
+        let first_spec = naive.intervals.iter().position(|r| !r.definite);
+        assert_eq!(
+            h.first_speculative(),
+            first_spec.map(|p| &naive.intervals[p])
+        );
+        assert_eq!(h.fully_definite(), first_spec.is_none());
+        assert!(
+            h.speculative().iter().all(|r| !r.definite),
+            "definite intervals form a prefix"
+        );
+        for floor in 0..=naive.next_index {
+            let expected = naive
+                .intervals
+                .iter()
+                .find(|r| r.id.index() >= floor && !r.definite)
+                .map(|r| r.id);
+            assert_eq!(h.rollback_target(floor), expected, "floor {floor}");
+        }
+    }
+
+    const UNIVERSE: u64 = 6;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn index_agrees_with_naive_scans(
+            steps in proptest::collection::vec(
+                (
+                    0u8..10,
+                    any::<u8>(),
+                    0u8..UNIVERSE as u8,
+                    proptest::collection::vec(0u8..UNIVERSE as u8, 0..3),
+                    any::<bool>(),
+                ),
+                1..48,
+            )
+        ) {
+            let mut h = History::new(pid(1));
+            let mut naive = NaiveHistory::new(pid(1));
+            for (kind, pick, sender, set, flag) in steps {
+                let set: Vec<AidId> = set.into_iter().map(u64::from).map(aid).collect();
+                // Any index up to one past the newest: live, discarded
+                // and never-issued ids alike.
+                let id = IntervalId::new(pid(1), u32::from(pick) % (naive.next_index + 1));
+                match kind {
+                    // Open: an explicit guess or a tagged receive.
+                    0..=3 => {
+                        h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, set.iter().copied());
+                        naive.open(pid(1), &set);
+                    }
+                    // Acquire (non-empty replacement) or release (empty).
+                    4..=6 => {
+                        let replacement: IdoSet = set.iter().copied().collect();
+                        let sender = aid(u64::from(sender));
+                        let indexed = h
+                            .replace(id, sender, &replacement, flag)
+                            .map(|o| (o.registrations, o.cycles_broken));
+                        prop_assert_eq!(indexed, naive.replace(id, sender, &replacement, flag));
+                    }
+                    7 => {
+                        let indexed = h.truncate_from(id).map(|d| d.len());
+                        prop_assert_eq!(indexed, naive.truncate(id));
+                    }
+                    _ => {
+                        let floor = flag.then_some(id.index());
+                        let indexed: Vec<IntervalId> =
+                            h.finalize_ready(floor).into_iter().map(|(i, _, _)| i).collect();
+                        prop_assert_eq!(indexed, naive.finalize(floor));
+                    }
+                }
+                assert_index_matches(&h, &naive, UNIVERSE + 1);
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use durable::{
 };
 pub use env::{HopeEnv, HopeEnvBuilder, HopeReport};
 pub use hopelib::{LibControl, LibState, PendingRollback};
-pub use interval::{History, IntervalOrigin, IntervalRecord};
+pub use interval::{History, HistoryCounters, IntervalOrigin, IntervalRecord};
 pub use metrics::{HopeMetrics, MetricsSnapshot};
 pub use replay::{LogSink, LogSource, Op, ReplayLog};
 pub use threaded_env::{ThreadedHopeEnv, ThreadedHopeEnvBuilder};

@@ -6,6 +6,8 @@ use std::sync::{Arc, Mutex};
 
 use hope_types::{BlameKey, RollbackAttribution, TraceCollector, WastedWork};
 
+use crate::interval::HistoryCounters;
+
 /// Atomic counters shared by every HOPElib instance and AID actor of one
 /// [`HopeEnv`](crate::HopeEnv). Cheap to clone via `Arc`; read with
 /// [`HopeMetrics::snapshot`].
@@ -52,6 +54,10 @@ pub struct HopeMetrics {
     /// live (non-replayed) rollbacks charge, so crash recovery never
     /// double-counts.
     pub attribution: Mutex<RollbackAttribution>,
+    /// Interval-history work counters, shared by every process's
+    /// [`History`](crate::History): records visited by lookups and walks,
+    /// and the deepest speculation any one history reached.
+    pub history: Arc<HistoryCounters>,
     /// The shared causal-trace collector every HOPElib, AID actor and
     /// runtime of one environment records into. Disabled by default;
     /// recording costs one relaxed atomic load until enabled.
@@ -91,6 +97,10 @@ pub struct MetricsSnapshot {
     pub crash_recoveries: u64,
     /// See [`HopeMetrics::cancelled_intervals`].
     pub cancelled_intervals: u64,
+    /// See [`HistoryCounters::records_visited`].
+    pub history_records_visited: u64,
+    /// See [`HistoryCounters::max_live_intervals`].
+    pub max_live_intervals: u64,
     /// See [`HopeMetrics::attribution`].
     pub attribution: RollbackAttribution,
 }
@@ -135,6 +145,8 @@ impl HopeMetrics {
             aids_collected: self.aids_collected.load(Ordering::Relaxed),
             crash_recoveries: self.crash_recoveries.load(Ordering::Relaxed),
             cancelled_intervals: self.cancelled_intervals.load(Ordering::Relaxed),
+            history_records_visited: self.history.records_visited.load(Ordering::Relaxed),
+            max_live_intervals: self.history.max_live_intervals.load(Ordering::Relaxed),
             attribution: self.attribution(),
         }
     }
@@ -162,6 +174,11 @@ impl fmt::Display for MetricsSnapshot {
             self.aids_collected,
             self.crash_recoveries,
             self.cancelled_intervals
+        )?;
+        write!(
+            f,
+            "\nhistory_records_visited={} max_live_intervals={}",
+            self.history_records_visited, self.max_live_intervals
         )?;
         if !self.attribution.is_empty() {
             write!(f, "\n{}", self.attribution)?;

@@ -139,6 +139,12 @@ impl<T> Producer<T> {
         }
         self.tail.wrapping_sub(self.head_cache) >= cap
     }
+
+    /// True when the consumer has taken every element pushed so far.
+    /// Racy in the same way as [`Producer::is_full`].
+    pub fn is_empty(&self) -> bool {
+        self.shared.head.0.load(Ordering::Acquire) == self.tail
+    }
 }
 
 impl<T> Consumer<T> {

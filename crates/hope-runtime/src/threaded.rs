@@ -48,7 +48,7 @@
 //! protocol scales with cores.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,6 +132,15 @@ impl Ord for Scheduled {
     }
 }
 
+/// [`ProcShared::wait`]: the process is not blocked.
+const RUNNING: u8 = 0;
+/// [`ProcShared::wait`]: blocked in a receive; new mail, a spill or a
+/// control poke wakes it.
+const WAITING_MAIL: u8 = 1;
+/// [`ProcShared::wait`]: parked without consuming mail; only a control
+/// poke wakes it.
+const WAITING_POKE: u8 = 2;
+
 /// Per-threaded-process shared state.
 struct ProcShared {
     /// Producer end of the mailbox ring. Only the one shard that owns
@@ -146,8 +155,9 @@ struct ProcShared {
     bell: Doorbell,
     /// Set by control handlers requesting a wake; consumed by waiters.
     control_poke: AtomicBool,
-    /// True while the process is blocked in receive/park (for quiescence).
-    idle: AtomicBool,
+    /// What the process is blocked on, if anything (for quiescence):
+    /// [`RUNNING`], [`WAITING_MAIL`] or [`WAITING_POKE`].
+    wait: AtomicU8,
     /// True once the process body returned.
     done: AtomicBool,
     /// The process's panic message, if its body panicked. Per-process so
@@ -157,6 +167,24 @@ struct ProcShared {
 }
 
 impl ProcShared {
+    /// Fresh state for a process named `name` with a mailbox ring of
+    /// `capacity`, plus the ring's consumer end for the process itself.
+    fn new(name: &str, capacity: usize) -> (Self, spsc::Consumer<Received>) {
+        let (inbox, rx) = spsc::ring::<Received>(capacity);
+        let shared = ProcShared {
+            inbox: Mutex::new(inbox),
+            spill: Mutex::new(VecDeque::new()),
+            spilled: AtomicBool::new(false),
+            bell: Doorbell::default(),
+            control_poke: AtomicBool::new(false),
+            wait: AtomicU8::new(RUNNING),
+            done: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            name: name.to_string(),
+        };
+        (shared, rx)
+    }
+
     /// Appends one message, ring first, spill on overflow. Called only by
     /// the owning shard (the mailbox's single producer).
     fn push_mail(&self, item: Received) {
@@ -179,6 +207,24 @@ impl ProcShared {
         let mut spill = self.spill.lock();
         spill.push_back(item);
         self.spilled.store(true, Ordering::Release);
+    }
+
+    /// True when the process has finished, or is blocked with nothing it
+    /// waits for pending. A blocked process whose wake condition already
+    /// holds has work it has not yet been scheduled to do, however long
+    /// the OS keeps it descheduled, so it is not idle.
+    fn is_quiet(&self) -> bool {
+        if self.done.load(Ordering::Acquire) {
+            return true;
+        }
+        let poked = self.control_poke.load(Ordering::Acquire);
+        match self.wait.load(Ordering::Acquire) {
+            WAITING_MAIL => {
+                !poked && !self.spilled.load(Ordering::Acquire) && self.inbox.lock().is_empty()
+            }
+            WAITING_POKE => !poked,
+            _ => false,
+        }
     }
 }
 
@@ -968,13 +1014,13 @@ impl ThreadedCtx {
     fn doze(&mut self) {
         let rx = &mut self.rx;
         let shared = &self.shared;
-        shared.idle.store(true, Ordering::Release);
+        shared.wait.store(WAITING_MAIL, Ordering::Release);
         shared.bell.park_for(PARK_BACKSTOP, || {
             !rx.is_empty()
                 || shared.spilled.load(Ordering::Acquire)
                 || shared.control_poke.load(Ordering::Acquire)
         });
-        shared.idle.store(false, Ordering::Release);
+        shared.wait.store(RUNNING, Ordering::Release);
     }
 }
 
@@ -1042,11 +1088,11 @@ impl SysApi for ThreadedCtx {
             // Park without consuming mail: only a control poke (or the
             // backstop) ends the nap early.
             let shared = &self.shared;
-            shared.idle.store(true, Ordering::Release);
+            shared.wait.store(WAITING_POKE, Ordering::Release);
             shared.bell.park_for(PARK_BACKSTOP, || {
                 shared.control_poke.load(Ordering::Acquire)
             });
-            shared.idle.store(false, Ordering::Release);
+            shared.wait.store(RUNNING, Ordering::Release);
         }
     }
 
@@ -1269,18 +1315,8 @@ impl ThreadedRuntime {
         control: Option<Box<dyn ControlHandler>>,
         body: crate::sysapi::ProcessBody,
     ) -> ProcessId {
-        let (inbox, rx) = spsc::ring::<Received>(inner.mailbox_capacity);
-        let shared = Arc::new(ProcShared {
-            inbox: Mutex::new(inbox),
-            spill: Mutex::new(VecDeque::new()),
-            spilled: AtomicBool::new(false),
-            bell: Doorbell::default(),
-            control_poke: AtomicBool::new(false),
-            idle: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            name: name.to_string(),
-        });
+        let (shared, rx) = ProcShared::new(name, inner.mailbox_capacity);
+        let shared = Arc::new(shared);
         let slot = Arc::new(Slot::Threaded {
             shared: shared.clone(),
             control: Mutex::new(control),
@@ -1326,7 +1362,6 @@ impl ThreadedRuntime {
                     *thread_shared.panic.lock() = Some(msg);
                 }
                 thread_shared.done.store(true, Ordering::Release);
-                thread_shared.idle.store(true, Ordering::Release);
             })
             .expect("failed to spawn process thread");
         if let Slot::Threaded { join, .. } = slot.as_ref() {
@@ -1388,8 +1423,9 @@ impl ThreadedRuntime {
     }
 
     /// Waits (wall clock) until the system has been quiescent — no
-    /// messages in flight and every process idle or finished — for
-    /// `grace`, or until `timeout` elapses. Returns the run report.
+    /// messages in flight and every process finished or blocked with
+    /// nothing pending that would wake it — for `grace`, or until
+    /// `timeout` elapses. Returns the run report.
     pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
         let deadline = Instant::now() + timeout;
         let mut quiet_since: Option<Instant> = None;
@@ -1399,9 +1435,7 @@ impl ThreadedRuntime {
             let procs = self.inner.procs.snapshot();
             let all_idle = procs.iter().all(|slot| match slot.as_ref() {
                 Slot::Gone | Slot::Actor { .. } | Slot::Gateway { .. } => true,
-                Slot::Threaded { shared, .. } => {
-                    shared.idle.load(Ordering::Acquire) || shared.done.load(Ordering::Acquire)
-                }
+                Slot::Threaded { shared, .. } => shared.is_quiet(),
             });
             if in_flight == 0 && all_idle {
                 let since = *quiet_since.get_or_insert_with(Instant::now);
@@ -1496,5 +1530,67 @@ impl Drop for ThreadedRuntime {
         for handle in joins {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use hope_types::UserMessage;
+
+    /// A process that committed to waiting for mail and was then
+    /// descheduled: it has no thread, so nothing ever drains its ring.
+    fn descheduled_receiver(rt: &ThreadedRuntime) -> (ProcessId, spsc::Consumer<Received>) {
+        let (shared, rx) = ProcShared::new("receiver", rt.inner.mailbox_capacity);
+        shared.wait.store(WAITING_MAIL, Ordering::Release);
+        let slot = Arc::new(Slot::Threaded {
+            shared: Arc::new(shared),
+            control: Mutex::new(None),
+            join: Mutex::new(None),
+        });
+        let pid = rt.inner.procs.update(move |procs| {
+            let pid = ProcessId::from_raw(procs.len() as u64);
+            procs.push(slot);
+            pid
+        });
+        (pid, rx)
+    }
+
+    #[test]
+    fn mail_waiting_for_a_descheduled_receiver_is_not_quiescence() {
+        let rt = ThreadedRuntime::builder().build();
+        let (receiver, _rx) = descheduled_receiver(&rt);
+        rt.spawn_threaded("sender", None, move |ctx| {
+            ctx.send(
+                receiver,
+                Payload::User(UserMessage::new(0, Bytes::from_static(b"work"))),
+            );
+        });
+        // Everything is delivered and the sender is done well inside the
+        // timeout; only the receiver's undrained ring keeps the run live.
+        let report = rt.run_until_quiescent(Duration::from_millis(10), Duration::from_millis(300));
+        assert!(
+            report.hit_event_limit,
+            "a receiver with mail in its ring is not idle"
+        );
+        assert_eq!(report.blocked.len(), 1, "{:?}", report.blocked);
+    }
+
+    #[test]
+    fn control_poke_pending_for_a_parked_process_is_not_quiescence() {
+        let (shared, _rx) = ProcShared::new("parked", 4);
+        shared.wait.store(WAITING_POKE, Ordering::Release);
+        assert!(shared.is_quiet(), "parked with nothing pending");
+        shared.push_mail(Received {
+            src: ProcessId::from_raw(0),
+            msg: UserMessage::new(0, Bytes::new()),
+        });
+        assert!(shared.is_quiet(), "mail does not wake a parked process");
+        shared.control_poke.store(true, Ordering::Release);
+        assert!(!shared.is_quiet(), "a pending poke does");
+        shared.wait.store(RUNNING, Ordering::Release);
+        shared.control_poke.store(false, Ordering::Release);
+        assert!(!shared.is_quiet(), "a running process is never idle");
     }
 }
