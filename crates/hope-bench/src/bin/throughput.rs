@@ -16,13 +16,19 @@
 //!   wall numbers price the implementation itself.
 //!
 //! A second table sweeps the stream length from 1k to 16k messages by
-//! doubling and fits the growth exponent of the deterministic
-//! `history_records_visited` work counter (interval-history records the
-//! HOPE library examined) and of wall time. The counter must grow
-//! linearly — a per-receive scan of the history made this workload
-//! quadratic until the history was indexed (DESIGN.md S7) — so under
-//! `HOPE_BENCH_CHECK=1` its exponent is gated at 1.2; the wall exponent
-//! is printed, never gated.
+//! doubling and fits the growth exponents of two deterministic work
+//! counters and of wall time:
+//!
+//! * `history_records_visited` (interval-history records the HOPE library
+//!   examined) must grow linearly — a per-receive scan of the history made
+//!   this workload quadratic until the history was indexed — so under
+//!   `HOPE_BENCH_CHECK=1` its exponent is gated at 1.2;
+//! * `history_substitutions` (`Replace` substitutions computed) must stay
+//!   flat — one per run of intervals sharing their dependency sets, not
+//!   one per holder, whose count grows with the stream — so its exponent
+//!   is gated at 0.5 (DESIGN.md S7).
+//!
+//! The wall exponent is printed, never gated.
 //!
 //! With `HOPE_TRACE=1` the workload runs a second time with the causal
 //! tracer enabled and the bin checks the tracing overhead budget: the
@@ -51,6 +57,8 @@ const SEED: u64 = 7;
 const SWEEP: [u64; 5] = [1_000, 2_000, 4_000, 8_000, 16_000];
 /// Ceiling on the fitted growth exponent of `history_records_visited`.
 const WORK_EXPONENT_CEILING: f64 = 1.2;
+/// Ceiling on the fitted growth exponent of `history_substitutions`.
+const SUBSTITUTION_EXPONENT_CEILING: f64 = 0.5;
 
 fn encode_aids(aids: &[AidId]) -> Bytes {
     let mut out = Vec::with_capacity(aids.len() * 8);
@@ -200,31 +208,40 @@ fn check_tracing_overhead(plain: &Outcome) {
     }
 }
 
+/// Fitted growth exponents of the stream-length sweep.
+struct Exponents {
+    work: f64,
+    substitutions: f64,
+    wall: f64,
+}
+
 /// Runs the stream-length sweep, prints it, and returns its JSON rows
-/// with the fitted exponents of the work counter and of wall time, plus
-/// the headline (`MESSAGES`) run.
-fn sweep() -> (Vec<Value>, f64, f64, Outcome) {
+/// with the fitted exponents, plus the headline (`MESSAGES`) run.
+fn sweep() -> (Vec<Value>, Exponents, Outcome) {
     println!("stream-length sweep (depth {DEPTH}):");
     println!(
-        "  {:>8} {:>16} {:>12} {:>10}",
-        "messages", "records_visited", "max_live", "wall_s"
+        "  {:>8} {:>16} {:>14} {:>12} {:>10}",
+        "messages", "records_visited", "substitutions", "max_live", "wall_s"
     );
     let mut rows = Vec::new();
-    let (mut work, mut wall) = (Vec::new(), Vec::new());
+    let (mut work, mut subs, mut wall) = (Vec::new(), Vec::new(), Vec::new());
     let mut headline = None;
     for messages in SWEEP {
         let outcome = run_workload(messages, None);
         let visited = outcome.report.hope.history_records_visited;
+        let substitutions = outcome.report.hope.history_substitutions;
         let max_live = outcome.report.hope.max_live_intervals;
         println!(
-            "  {messages:>8} {visited:>16} {max_live:>12} {:>10.3}",
+            "  {messages:>8} {visited:>16} {substitutions:>14} {max_live:>12} {:>10.3}",
             outcome.wall_secs
         );
         work.push((messages as f64, visited as f64));
+        subs.push((messages as f64, substitutions as f64));
         wall.push((messages as f64, outcome.wall_secs));
         rows.push(baseline::obj(&[
             ("messages", messages.to_string()),
             ("history_records_visited", visited.to_string()),
+            ("history_substitutions", substitutions.to_string()),
             ("max_live_intervals", max_live.to_string()),
             ("wall_s", format!("{:.3}", outcome.wall_secs)),
         ]));
@@ -232,24 +249,38 @@ fn sweep() -> (Vec<Value>, f64, f64, Outcome) {
             headline = Some(outcome);
         }
     }
-    let (work_exp, wall_exp) = (baseline::fit_exponent(&work), baseline::fit_exponent(&wall));
+    let exp = Exponents {
+        work: baseline::fit_exponent(&work),
+        substitutions: baseline::fit_exponent(&subs),
+        wall: baseline::fit_exponent(&wall),
+    };
     println!(
-        "fitted growth exponent: history_records_visited {work_exp:.3} \
-         (ceiling {WORK_EXPONENT_CEILING}), wall {wall_exp:.3} (not gated)"
+        "fitted growth exponent: history_records_visited {:.3} (ceiling \
+         {WORK_EXPONENT_CEILING}), history_substitutions {:.3} (ceiling \
+         {SUBSTITUTION_EXPONENT_CEILING}), wall {:.3} (not gated)",
+        exp.work, exp.substitutions, exp.wall
     );
     if std::env::var("HOPE_BENCH_CHECK").as_deref() == Ok("1") {
         assert!(
-            work_exp <= WORK_EXPONENT_CEILING,
+            exp.work <= WORK_EXPONENT_CEILING,
             "interval-history work has gone super-linear: fitted exponent \
-             {work_exp:.3} > {WORK_EXPONENT_CEILING} across stream lengths {SWEEP:?}"
+             {:.3} > {WORK_EXPONENT_CEILING} across stream lengths {SWEEP:?}",
+            exp.work
+        );
+        assert!(
+            exp.substitutions <= SUBSTITUTION_EXPONENT_CEILING,
+            "Replace substitutions grow with the stream (per holder, not per \
+             run): fitted exponent {:.3} > {SUBSTITUTION_EXPONENT_CEILING} \
+             across stream lengths {SWEEP:?}",
+            exp.substitutions
         );
     }
     let headline = headline.expect("the sweep includes the headline length");
-    (rows, work_exp, wall_exp, headline)
+    (rows, exp, headline)
 }
 
 fn main() {
-    let (sweep_rows, work_exp, wall_exp, outcome) = sweep();
+    let (sweep_rows, exp, outcome) = sweep();
     let report = &outcome.report;
     let wall_secs = outcome.wall_secs;
 
@@ -312,6 +343,10 @@ fn main() {
             Value::String(report.hope.history_records_visited.to_string()),
         ),
         (
+            "history_substitutions".into(),
+            Value::String(report.hope.history_substitutions.to_string()),
+        ),
+        (
             "max_live_intervals".into(),
             Value::String(report.hope.max_live_intervals.to_string()),
         ),
@@ -358,15 +393,23 @@ fn main() {
         ),
         (
             "sweep_work_exponent".into(),
-            Value::String(format!("{work_exp:.3}")),
+            Value::String(format!("{:.3}", exp.work)),
         ),
         (
             "sweep_work_exponent_ceiling".into(),
             Value::String(format!("{WORK_EXPONENT_CEILING}")),
         ),
         (
+            "sweep_substitution_exponent".into(),
+            Value::String(format!("{:.3}", exp.substitutions)),
+        ),
+        (
+            "sweep_substitution_exponent_ceiling".into(),
+            Value::String(format!("{SUBSTITUTION_EXPONENT_CEILING}")),
+        ),
+        (
             "sweep_wall_exponent".into(),
-            Value::String(format!("{wall_exp:.3}")),
+            Value::String(format!("{:.3}", exp.wall)),
         ),
         ("sweep".into(), Value::Array(sweep_rows)),
     ]);
@@ -379,6 +422,7 @@ fn main() {
             "tag_bytes_wire",
             "guess_p99_virtual_ns",
             "history_records_visited",
+            "history_substitutions",
         ],
         2.0,
     );

@@ -129,6 +129,9 @@ pub struct HistoryCounters {
     /// High-water mark of speculative (non-definite) intervals any one
     /// history held at once.
     pub max_live_intervals: AtomicU64,
+    /// Substitutions `Replace` applications computed: one per run of
+    /// holders sharing their dependency sets, not one per holder.
+    pub substitutions: AtomicU64,
 }
 
 /// What [`History::replace`] did, for the caller to act on.
@@ -339,6 +342,11 @@ impl History {
     /// interval `iid` and in every later live interval holding `sender`
     /// (delta registration, DESIGN.md S7). Returns `None` when `iid` is
     /// stale or definite.
+    ///
+    /// The substitution runs once per *run*: consecutive holders whose
+    /// `IDO` and `UDO` are [`same_as`](hope_types::IdSet::same_as) the
+    /// run's first interval's would all compute the same result, so they
+    /// take a clone of it (DESIGN.md S7, run-wise `Replace`).
     pub(crate) fn replace(
         &mut self,
         iid: IntervalId,
@@ -352,18 +360,35 @@ impl History {
         }
         let mut out = ReplaceOutcome::default();
         let end = self.intervals.len();
-        for pos in target..end {
-            let rec = &mut self.intervals[pos];
+        let mut pos = target;
+        while pos < end {
+            let rec = &self.intervals[pos];
+            let holds = rec.ido.contains(&sender);
             // The registrant applies the substitution unconditionally;
             // later intervals only when they inherited the sender.
-            if pos > target && !rec.ido.contains(&sender) {
+            if pos > target && !holds {
+                pos += 1;
                 continue;
             }
+            // Find the run before mutating its first interval, so that
+            // uniquely owned sets stay unique and mutate in place. A
+            // target without the sender is a run of one: later intervals
+            // sharing its sets do not hold the sender either.
+            let run_end = if holds {
+                let same = |later: &&IntervalRecord| {
+                    later.ido.same_as(&rec.ido) && later.udo.same_as(&rec.udo)
+                };
+                pos + 1 + self.intervals[pos + 1..].iter().take_while(same).count()
+            } else {
+                pos + 1
+            };
+            let rec = &mut self.intervals[pos];
+            let mut cycles = 0;
             for &y in replacement.iter() {
                 if cycle_detection && rec.udo.contains(&y) {
                     // The interval already escaped Y once: this replacement
                     // closes a dependency cycle. Discard it (Figure 15).
-                    out.cycles_broken += 1;
+                    cycles += 1;
                     continue;
                 }
                 if !rec.ido.insert(y) {
@@ -372,13 +397,28 @@ impl History {
                 let registrant = self.registrant.entry(y).or_insert(pos);
                 if *registrant >= pos {
                     // No older interval holds Y: this one becomes its
-                    // registrant and owes the AID a `Guess`.
+                    // registrant and owes the AID a `Guess`. Later run
+                    // members acquire Y too but now have an older holder.
                     *registrant = pos;
                     out.registrations.push((rec.id, y));
                 }
             }
             rec.ido.remove(&sender);
             rec.udo.insert(sender);
+            out.cycles_broken += cycles * (run_end - pos) as u64;
+            self.counters.substitutions.fetch_add(1, Ordering::Relaxed);
+            // A result equal to the predecessor's sets takes its storage,
+            // so a suffix that a wave made equal shares one set again. The
+            // root is definite, so `pos` always has a predecessor.
+            let (prev, rec) = (&self.intervals[pos - 1], &self.intervals[pos]);
+            let reshare =
+                |set: &IdoSet, prev: &IdoSet| if set == prev { prev } else { set }.clone();
+            let (ido, udo) = (reshare(&rec.ido, &prev.ido), reshare(&rec.udo, &prev.udo));
+            for member in &mut self.intervals[pos..run_end] {
+                member.ido = ido.clone();
+                member.udo = udo.clone();
+            }
+            pos = run_end;
         }
         self.visit((end - target) as u64);
         // No holder of the sender remains at or after the target; it stays
@@ -511,7 +551,7 @@ mod tests {
         let b = h.open_interval(IntervalOrigin::ExplicitGuess { op: 1 }, []);
         let (ra, rb) = (h.get(a).unwrap(), h.get(b).unwrap());
         assert!(
-            ra.ido.shares_storage(&rb.ido),
+            ra.ido.same_as(&rb.ido),
             "inheritance must be copy-on-write, not a deep clone"
         );
     }
@@ -759,7 +799,58 @@ mod tests {
         }
     }
 
+    /// One random step applied to both histories: `(kind, pick, sender,
+    /// set, flag)`. Kinds 0–3 open with `set` as trigger, 4–6 replace
+    /// `sender` by `set` (empty: a release), 7 truncates, 8–9 finalize,
+    /// and 10 and above open with an empty trigger, the step that grows
+    /// long runs of intervals sharing one set.
+    type Step = (u8, u8, u8, Vec<u8>, bool);
+
+    fn apply_step(h: &mut History, naive: &mut NaiveHistory, step: Step) {
+        let (kind, pick, sender, set, flag) = step;
+        let set: Vec<AidId> = set.into_iter().map(u64::from).map(aid).collect();
+        // Any index up to one past the newest: live, discarded and
+        // never-issued ids alike.
+        let id = IntervalId::new(pid(1), u32::from(pick) % (naive.next_index + 1));
+        match kind {
+            // Open: an explicit guess or a tagged receive.
+            0..=3 => {
+                h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, set.iter().copied());
+                naive.open(pid(1), &set);
+            }
+            // Acquire (non-empty replacement) or release (empty).
+            4..=6 => {
+                let replacement: IdoSet = set.iter().copied().collect();
+                let sender = aid(u64::from(sender));
+                let indexed = h
+                    .replace(id, sender, &replacement, flag)
+                    .map(|o| (o.registrations, o.cycles_broken));
+                assert_eq!(indexed, naive.replace(id, sender, &replacement, flag));
+            }
+            7 => {
+                let indexed = h.truncate_from(id).map(|d| d.len());
+                assert_eq!(indexed, naive.truncate(id));
+            }
+            8 | 9 => {
+                let floor = flag.then_some(id.index());
+                let indexed: Vec<IntervalId> = h
+                    .finalize_ready(floor)
+                    .into_iter()
+                    .map(|(i, _, _)| i)
+                    .collect();
+                assert_eq!(indexed, naive.finalize(floor));
+            }
+            _ => {
+                h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, []);
+                naive.open(pid(1), &[]);
+            }
+        }
+    }
+
     const UNIVERSE: u64 = 6;
+    /// Enough AIDs, and large enough sets, that most dependency sets
+    /// leave the inline tier for shared storage.
+    const WIDE_UNIVERSE: u64 = 12;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -779,47 +870,148 @@ mod tests {
         ) {
             let mut h = History::new(pid(1));
             let mut naive = NaiveHistory::new(pid(1));
-            for (kind, pick, sender, set, flag) in steps {
-                let set: Vec<AidId> = set.into_iter().map(u64::from).map(aid).collect();
-                // Any index up to one past the newest: live, discarded
-                // and never-issued ids alike.
-                let id = IntervalId::new(pid(1), u32::from(pick) % (naive.next_index + 1));
-                match kind {
-                    // Open: an explicit guess or a tagged receive.
-                    0..=3 => {
-                        h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, set.iter().copied());
-                        naive.open(pid(1), &set);
-                    }
-                    // Acquire (non-empty replacement) or release (empty).
-                    4..=6 => {
-                        let replacement: IdoSet = set.iter().copied().collect();
-                        let sender = aid(u64::from(sender));
-                        let indexed = h
-                            .replace(id, sender, &replacement, flag)
-                            .map(|o| (o.registrations, o.cycles_broken));
-                        prop_assert_eq!(indexed, naive.replace(id, sender, &replacement, flag));
-                    }
-                    7 => {
-                        let indexed = h.truncate_from(id).map(|d| d.len());
-                        prop_assert_eq!(indexed, naive.truncate(id));
-                    }
-                    _ => {
-                        let floor = flag.then_some(id.index());
-                        let indexed: Vec<IntervalId> =
-                            h.finalize_ready(floor).into_iter().map(|(i, _, _)| i).collect();
-                        prop_assert_eq!(indexed, naive.finalize(floor));
-                    }
-                }
+            for step in steps {
+                apply_step(&mut h, &mut naive, step);
                 assert_index_matches(&h, &naive, UNIVERSE + 1);
             }
         }
+
+        /// Run-wise `Replace` against the per-holder reference, with
+        /// shared-storage sets and long runs of empty-trigger opens: after
+        /// every step the records, registrations and `cycles_broken` (both
+        /// checked in `apply_step`) and every index lookup agree.
+        #[test]
+        fn runwise_replace_agrees_with_per_holder_reference(
+            steps in proptest::collection::vec(
+                (
+                    0u8..14,
+                    any::<u8>(),
+                    0u8..WIDE_UNIVERSE as u8,
+                    proptest::collection::vec(0u8..WIDE_UNIVERSE as u8, 0..9),
+                    any::<bool>(),
+                ),
+                1..64,
+            )
+        ) {
+            let mut h = History::new(pid(1));
+            let mut naive = NaiveHistory::new(pid(1));
+            for step in steps {
+                apply_step(&mut h, &mut naive, step);
+                assert_index_matches(&h, &naive, WIDE_UNIVERSE + 1);
+            }
+        }
+    }
+
+    fn substitutions(h: &History) -> u64 {
+        h.counters().substitutions.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn target_without_sender_leaves_successors_sharing_its_sets_unchanged() {
+        let mut h = History::new(pid(1));
+        let mut naive = NaiveHistory::new(pid(1));
+        let deps: Vec<AidId> = (0..6).map(aid).collect();
+        let target = h.open_interval(
+            IntervalOrigin::ExplicitGuess { op: 0 },
+            deps.iter().copied(),
+        );
+        naive.open(pid(1), &deps);
+        for _ in 0..3 {
+            h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, []);
+            naive.open(pid(1), &[]);
+        }
+        let records = h.intervals();
+        assert!(records[2..].iter().all(|r| r.ido.same_as(&records[1].ido)));
+        let successors = records[2..].to_vec();
+        // The target does not hold aid(9), and neither do the successors
+        // sharing its IDO: only the target is substituted.
+        let replacement: IdoSet = [aid(7), aid(8)].into_iter().collect();
+        let out = h.replace(target, aid(9), &replacement, true).unwrap();
+        assert_eq!(
+            Some((out.registrations, out.cycles_broken)),
+            naive.replace(target, aid(9), &replacement, true)
+        );
+        assert_eq!(h.intervals(), naive.intervals.as_slice());
+        assert!(h.intervals()[1].ido.contains(&aid(7)));
+        assert_eq!(&h.intervals()[2..], successors.as_slice());
+        assert_eq!(substitutions(&h), 1);
+    }
+
+    /// The runs a `Replace` of `sender` at a `target` holding it meets:
+    /// maximal groups of consecutive holders with equal `IDO` and `UDO`,
+    /// counted on the per-holder reference.
+    fn value_runs(naive: &NaiveHistory, target: usize, sender: &AidId) -> u64 {
+        let mut runs = 0;
+        let mut prev: Option<&IntervalRecord> = None;
+        for (pos, rec) in naive.intervals.iter().enumerate().skip(target) {
+            if pos > target && !rec.ido.contains(sender) {
+                prev = None;
+                continue;
+            }
+            if !prev.is_some_and(|p| p.ido == rec.ido && p.udo == rec.udo) {
+                runs += 1;
+            }
+            prev = Some(rec);
+        }
+        runs
+    }
+
+    #[test]
+    fn stream_wave_substitutes_once_per_run_and_reshares_the_suffix() {
+        // The perfbench `stream` shape: 64 guesses spread over 2048
+        // tagged receives, then one `Replace` per assumption substituting
+        // the same set.
+        const GUESSES: u64 = 64;
+        const OPENS: u64 = 2048;
+        let mut h = History::new(pid(1));
+        let mut naive = NaiveHistory::new(pid(1));
+        let stride = OPENS / GUESSES;
+        for op in 0..OPENS {
+            let trigger: Vec<AidId> = (op % stride == 0)
+                .then(|| aid(op / stride))
+                .into_iter()
+                .collect();
+            h.open_interval(
+                IntervalOrigin::ExplicitGuess { op: 0 },
+                trigger.iter().copied(),
+            );
+            naive.open(pid(1), &trigger);
+        }
+        let replacement: IdoSet = (100..108).map(aid).collect();
+        let mut runs = 0;
+        for sender in (0..GUESSES).map(aid) {
+            let target = naive
+                .intervals
+                .iter()
+                .position(|r| r.ido.contains(&sender))
+                .unwrap();
+            runs += value_runs(&naive, target, &sender);
+            let iid = naive.intervals[target].id;
+            let out = h.replace(iid, sender, &replacement, true).unwrap();
+            assert_eq!(
+                Some((out.registrations, out.cycles_broken)),
+                naive.replace(iid, sender, &replacement, true)
+            );
+            assert_eq!(h.intervals(), naive.intervals.as_slice());
+        }
+        assert_eq!(substitutions(&h), runs);
+        assert_eq!(
+            runs,
+            (1..=GUESSES).sum::<u64>(),
+            "64 - k runs hold the k-th AID"
+        );
+        let holders = &h.intervals()[1..];
+        assert!(
+            holders.iter().all(|r| r.ido.same_as(&holders[0].ido)),
+            "the wave made every IDO equal: they share one storage again"
+        );
     }
 
     #[test]
     fn current_deps_is_cumulative_tag() {
         let mut h = History::new(pid(1));
         assert!(h.current_deps().is_empty());
-        h.open_interval(IntervalOrigin::ImplicitReceive { op: 0 }, [aid(1), aid(2)]);
+        h.open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1), aid(2)]);
         assert_eq!(h.current_deps().len(), 2);
     }
 }

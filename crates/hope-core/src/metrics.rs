@@ -101,6 +101,8 @@ pub struct MetricsSnapshot {
     pub history_records_visited: u64,
     /// See [`HistoryCounters::max_live_intervals`].
     pub max_live_intervals: u64,
+    /// See [`HistoryCounters::substitutions`].
+    pub history_substitutions: u64,
     /// See [`HopeMetrics::attribution`].
     pub attribution: RollbackAttribution,
 }
@@ -147,6 +149,7 @@ impl HopeMetrics {
             cancelled_intervals: self.cancelled_intervals.load(Ordering::Relaxed),
             history_records_visited: self.history.records_visited.load(Ordering::Relaxed),
             max_live_intervals: self.history.max_live_intervals.load(Ordering::Relaxed),
+            history_substitutions: self.history.substitutions.load(Ordering::Relaxed),
             attribution: self.attribution(),
         }
     }
@@ -177,8 +180,8 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         write!(
             f,
-            "\nhistory_records_visited={} max_live_intervals={}",
-            self.history_records_visited, self.max_live_intervals
+            "\nhistory_records_visited={} max_live_intervals={} history_substitutions={}",
+            self.history_records_visited, self.max_live_intervals, self.history_substitutions
         )?;
         if !self.attribution.is_empty() {
             write!(f, "\n{}", self.attribution)?;

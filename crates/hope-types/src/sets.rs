@@ -107,14 +107,24 @@ impl<T> IdSet<T> {
         self.repr = Repr::Empty;
     }
 
-    /// True when `self` and `other` share the same heap storage (both are
-    /// `Shared` over the same allocation). Diagnostic only: lets tests
-    /// assert that interval inheritance is copy-on-write rather than a
-    /// deep clone.
-    #[doc(hidden)]
-    pub fn shares_storage(&self, other: &Self) -> bool {
+    /// True when `self` and `other` are provably the same set at `O(1)`
+    /// cost: both share one heap allocation, or both are stored in place
+    /// (empty or inline) with equal members. Never true for unequal sets;
+    /// equal sets in separate allocations are `==` but not `same_as`.
+    ///
+    /// Storage identity is what makes it cheap: a clone of a large set is
+    /// `same_as` its source until either mutates, so a run of interval
+    /// records that inherited one set is recognised without comparing
+    /// members (DESIGN.md S7, run-wise `Replace`).
+    pub fn same_as(&self, other: &Self) -> bool
+    where
+        T: PartialEq,
+    {
         match (&self.repr, &other.repr) {
             (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            (Repr::Empty | Repr::Inline { .. }, Repr::Empty | Repr::Inline { .. }) => {
+                self.as_slice() == other.as_slice()
+            }
             _ => false,
         }
     }
@@ -561,10 +571,10 @@ mod tests {
     fn clone_of_large_set_shares_storage_until_mutation() {
         let big: IdSet<u32> = (0..32).collect();
         let cloned = big.clone();
-        assert!(big.shares_storage(&cloned), "clone must be O(1) COW");
+        assert!(big.same_as(&cloned), "clone must be O(1) COW");
         let mut mutated = cloned.clone();
         mutated.insert(100);
-        assert!(!big.shares_storage(&mutated), "mutation must unshare");
+        assert!(!big.same_as(&mutated), "mutation must unshare");
         assert_eq!(big.len(), 32);
         assert_eq!(mutated.len(), 33);
     }
@@ -596,9 +606,44 @@ mod tests {
         let big: IdSet<u32> = (0..32).collect();
         let mut clone = big.clone();
         clone.extend([3u32, 7, 9]);
-        assert!(big.shares_storage(&clone), "subset extend must not copy");
+        assert!(big.same_as(&clone), "subset extend must not copy");
         clone.extend([99u32]);
         assert!(clone.contains(&99));
         assert!(!big.contains(&99));
+    }
+
+    #[test]
+    fn clone_is_same_as_its_source() {
+        let big: IdSet<u32> = (0..32).collect();
+        let small: IdSet<u32> = [1, 2].into_iter().collect();
+        assert!(big.same_as(&big.clone()));
+        assert!(small.same_as(&small.clone()));
+        assert!(IdSet::<u32>::new().same_as(&IdSet::new()));
+    }
+
+    #[test]
+    fn equal_sets_in_separate_allocations_are_not_same_as() {
+        let a: IdSet<u32> = (0..32).collect();
+        let b: IdSet<u32> = (0..32).collect();
+        assert_eq!(a, b);
+        assert!(!a.same_as(&b), "identity is storage, not value");
+        // A shrunken shared set is not `same_as` an equal inline one.
+        let mut shrunk = a.clone();
+        for i in 2..32u32 {
+            shrunk.remove(&i);
+        }
+        let inline: IdSet<u32> = [0, 1].into_iter().collect();
+        assert_eq!(shrunk, inline);
+        assert!(!shrunk.same_as(&inline));
+    }
+
+    #[test]
+    fn inline_sets_with_equal_members_are_same_as() {
+        let a: IdSet<u32> = [3, 1].into_iter().collect();
+        let b: IdSet<u32> = [1, 3].into_iter().collect();
+        assert!(a.same_as(&b));
+        let c: IdSet<u32> = [1, 4].into_iter().collect();
+        assert!(!a.same_as(&c), "never true for unequal sets");
+        assert!(!a.same_as(&IdSet::new()));
     }
 }
